@@ -29,8 +29,10 @@ Execution strategies mirror the Python backends exactly:
 Compiled objects are cached on disk under ``~/.cache/repro-op2``
 (override with ``REPRO_CACHE_DIR``), keyed by the SHA-256 of
 ``(source, compiler, flags)``, with in-process memoization in the
-kernel's wrapper cache. The compiler is ``$REPRO_CC`` or the first of
-``cc``/``gcc``/``clang`` on ``PATH``; flags are ``$REPRO_CFLAGS``
+kernel's wrapper cache. A per-entry ``flock`` makes one thread or
+forked rank compile a cold entry while the others wait and load it.
+The compiler is ``$REPRO_CC`` or the first of ``cc``/``gcc``/``clang``
+on ``PATH``; flags are ``$REPRO_CFLAGS``
 (default ``-O2 -fopenmp -ffp-contract=off`` — contraction off keeps
 the elemental arithmetic bitwise-equal to numpy for correctly-rounded
 operations).
@@ -45,6 +47,7 @@ on a machine with no compiler at all.
 from __future__ import annotations
 
 import ctypes
+import fcntl
 import hashlib
 import os
 import shutil
@@ -77,9 +80,6 @@ if TYPE_CHECKING:  # pragma: no cover
 DEFAULT_CFLAGS = "-O2 -fopenmp -ffp-contract=off"
 _LINK_FLAGS = ("-shared", "-fPIC")
 
-#: serializes compiles across simulated ranks (threads in one process);
-#: the disk cache makes every rank after the first a cheap hit
-_compile_lock = threading.Lock()
 _warn_lock = threading.Lock()
 _warned = False
 
@@ -185,30 +185,55 @@ class _Fallback:
         self.warn = warn
 
 
+def _lock_entry(so_path: Path) -> int:
+    """Take the exclusive per-entry lock; returns the fd that holds it.
+
+    ``flock`` excludes other threads *and* forked ranks alike, so a
+    cold cache entry is compiled by exactly one of them; the others
+    wait and then load the finished object. Closing the fd releases it.
+    """
+    so_path.parent.mkdir(parents=True, exist_ok=True)
+    fd = os.open(so_path.with_suffix(".lock"), os.O_CREAT | os.O_RDWR, 0o644)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+    except OSError:
+        os.close(fd)
+        raise
+    return fd
+
+
 def _compile(source: str, cc: str, cflags: list[str],
              so_path: Path) -> str | None:
-    """Build ``source`` into ``so_path`` atomically; error string on failure."""
+    """Build ``source`` into ``so_path`` atomically; error string on failure.
+
+    The source goes to a private temporary file first, so no compiler
+    ever reads a ``.c`` file another process is rewriting; it lands at
+    ``<entry>.c`` (for inspection) only once the build succeeded.
+    """
     rec = active_recorder()
     with span("native.compile", "op2.native", path=so_path.name):
         try:
-            so_path.parent.mkdir(parents=True, exist_ok=True)
-            c_path = so_path.with_suffix(".c")
-            c_path.write_text(source)
+            fd, c_tmp = tempfile.mkstemp(suffix=".c", dir=so_path.parent)
+            with os.fdopen(fd, "w") as fh:
+                fh.write(source)
             fd, tmp = tempfile.mkstemp(suffix=".so", dir=so_path.parent)
             os.close(fd)
         except OSError as exc:
             return f"cache directory unusable: {exc}"
-        cmd = [cc, *cflags, *_LINK_FLAGS, "-o", tmp, str(c_path), "-lm"]
+        cmd = [cc, *cflags, *_LINK_FLAGS, "-o", tmp, c_tmp, "-lm"]
         try:
             proc = subprocess.run(cmd, capture_output=True, text=True)
+            error = None if proc.returncode == 0 else (
+                f"{cc} exited {proc.returncode}: "
+                + " | ".join(proc.stderr.strip().splitlines()[-3:]))
         except OSError as exc:
+            error = f"could not run {cc!r}: {exc}"
+        if error is not None:
             os.unlink(tmp)
-            return f"could not run {cc!r}: {exc}"
-        if proc.returncode != 0:
-            os.unlink(tmp)
-            tail = proc.stderr.strip().splitlines()[-3:]
-            return f"{cc} exited {proc.returncode}: " + " | ".join(tail)
-        os.replace(tmp, so_path)  # atomic: concurrent ranks both win
+            os.unlink(c_tmp)
+            return error
+        os.replace(c_tmp, so_path.with_suffix(".c"))
+        os.replace(tmp, so_path)
     if rec is not None:
         rec.counter("op2.native.compile")
     return None
@@ -223,7 +248,11 @@ def _load_compiled(source: str, stem: str, entry_name: str
         return _Fallback("no C toolchain (set REPRO_CC or install cc/gcc)")
     cc, cflags = tc
     so_path = _so_path(stem, source, cc, cflags)
-    with _compile_lock:
+    try:
+        lock_fd = _lock_entry(so_path)
+    except OSError as exc:
+        return _Fallback(f"cache directory unusable: {exc}")
+    try:
         for attempt in (0, 1):
             if not so_path.exists():
                 err = _compile(source, cc, cflags, so_path)
@@ -247,6 +276,8 @@ def _load_compiled(source: str, stem: str, entry_name: str
                 continue
             fn.restype = None
             return fn, so_path, lib
+    finally:
+        os.close(lock_fd)
     raise AssertionError("unreachable")  # pragma: no cover
 
 

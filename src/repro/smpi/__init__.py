@@ -1,17 +1,18 @@
 """Simulated MPI: in-process message passing between cooperating ranks.
 
 The paper's runs use real MPI on up to 65k cores of ARCHER2. Here,
-ranks are Python threads inside one process, exchanging numpy buffers
-through mailboxes with genuine blocking semantics (a misordered
-send/recv deadlocks — reported by the wait-for-graph detector with the
-actual blocked-on cycle, exactly what a hung cluster job would not
-tell you). The layer provides communicators, ``split`` for the
-HS/CU sub-communicator layout of the coupled solver, point-to-point
-and collective operations, *traffic accounting* — per-phase message
-and byte counts that drive the communication-optimization study
-(Table III of the paper) — and a seeded
-:class:`DeterministicScheduler` that serializes rank threads into a
-replayable interleaving for sweeping message-race schedules.
+ranks are either threads of one interpreter that pass a single baton
+(one rank runs at a time and hands off only when it blocks, so runs
+are reproducible) or forked processes — the parallel transport. Both
+exchange numpy buffers with genuine blocking semantics (a misordered
+send/recv deadlocks — on threads it is reported with the actual
+blocked-on cycle, exactly what a hung cluster job would not tell you).
+The layer provides communicators, ``split`` for the HS/CU
+sub-communicator layout of the coupled solver, point-to-point and
+collective operations, *traffic accounting* — per-phase message and
+byte counts that drive the communication-optimization study (Table III
+of the paper) — and the :class:`DeterministicScheduler` whose seeded
+mode replays chosen interleavings for sweeping message-race schedules.
 """
 
 from repro.smpi.comm import (
@@ -24,7 +25,7 @@ from repro.smpi.comm import (
     run_ranks,
     waitall,
 )
-from repro.smpi.deadlock import DeadlockError, WaitEdge, WaitRegistry, format_cycle
+from repro.smpi.deadlock import DeadlockError, WaitEdge, format_cycle
 from repro.smpi.errors import ProcessRankDied, RankFailure, TransportError
 from repro.smpi.faults import CrashFault, FaultPlan, FaultRecord, MessageFault
 from repro.smpi.schedule import DeterministicScheduler, ScheduleRun, sweep_schedules
@@ -65,7 +66,6 @@ __all__ = [
     "TrafficRecord",
     "TransportError",
     "WaitEdge",
-    "WaitRegistry",
     "default_transport",
     "format_cycle",
     "heartbeat_seconds",

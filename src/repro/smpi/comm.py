@@ -2,22 +2,28 @@
 
 Each rank runs its target function on its own thread; ranks of a
 communicator share mailboxes (point-to-point) and a collective context
-(barrier + data slots). Blocking semantics are real — a ``recv`` with
-no matching ``send`` blocks, mirroring a hung MPI job — but hangs are
-*diagnosed*, not merely timed out: every blocking operation registers
-a wait-for edge with a world-level
-:class:`~repro.smpi.deadlock.WaitRegistry`, and a genuine cycle (rank
-0 waiting on rank 1 waiting on rank 0, or a wait on a rank that
-already exited) raises :class:`~repro.smpi.errors.DeadlockError`
-naming the full cycle within milliseconds. The watchdog timeout
-remains as a backstop for ranks stuck *outside* MPI (e.g. an infinite
-compute loop).
+(barrier + data slots). The threads run **one at a time**: every run
+attaches a :class:`~repro.smpi.schedule.DeterministicScheduler` that
+passes a single baton, and a rank hands it on only when it blocks — a
+``recv`` with no matching message, a barrier, a ``probe`` that finds
+nothing, or exit. The default policy is ordered (the next rank is the
+head of a FIFO run queue) and non-preemptive, so runs are
+reproducible and the rank threads never contend for the interpreter
+lock; the forked-process transport (:mod:`repro.smpi.transport`) is
+the one with real parallelism. An integer-seeded scheduler
+(``run_ranks(..., scheduler=...)``) instead yields at every send and
+draws each decision from a seeded RNG, which turns ``ANY_SOURCE`` and
+``probe`` races from flaky into sweepable.
 
-Runs can additionally be serialized under a seeded
-:class:`~repro.smpi.schedule.DeterministicScheduler`
-(``run_ranks(..., scheduler=...)``): one rank executes at a time and
-every interleaving decision is replayable, which turns ``ANY_SOURCE``
-and ``probe`` races from flaky into sweepable.
+Blocking semantics are real — a ``recv`` with no matching ``send``
+blocks, mirroring a hung MPI job — but hangs are *diagnosed*, not
+merely timed out: each blocking operation parks with a wait-for edge,
+and when no rank can take the baton the scheduler raises
+:class:`~repro.smpi.errors.DeadlockError` naming the full cycle (rank
+0 waiting on rank 1 waiting on rank 0, or a wait on a rank that
+already exited). The per-operation timeout remains as a backstop for
+ranks stuck *outside* MPI (e.g. a rank sleeping or looping while it
+holds the baton).
 
 Design notes
 ------------
@@ -29,8 +35,7 @@ Design notes
   rank that draws arrival index 0 performs the reduction.
   Sub-communicators from :meth:`SimComm.split` get fresh
   mailboxes/barriers, so HS and CU groups of the coupled solver cannot
-  interfere — but they share the world's wait registry, scheduler and
-  traffic ledger.
+  interfere — but they share the world's scheduler and traffic ledger.
 * All traffic is recorded in a world-level :class:`~repro.smpi.traffic.Traffic`
   ledger keyed by *world* ranks, whatever communicator carried it.
 """
@@ -44,27 +49,23 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
-from repro.smpi.deadlock import WaitEdge, WaitRegistry
-from repro.smpi.errors import DeadlockError, SimAbort, SimMPIError
+from repro.smpi.deadlock import WaitEdge
+from repro.smpi.errors import SimAbort, SimMPIError
+from repro.smpi.schedule import DeterministicScheduler
 from repro.smpi.traffic import Traffic, payload_nbytes
 from repro.telemetry.recorder import active_recorder, span as _tspan
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.smpi.faults import FaultPlan
-    from repro.smpi.schedule import DeterministicScheduler
 
 ANY_SOURCE = -1
 ANY_TAG = -1
 
 #: Default seconds a blocking operation may wait before the run is
-#: declared hung. True message/barrier deadlocks are caught by the
-#: wait-for detector long before this; the watchdog only catches ranks
-#: stuck outside the MPI layer.
+#: declared hung. True message/barrier deadlocks are reported by the
+#: scheduler long before this; the timeout only catches ranks stuck
+#: outside the MPI layer.
 DEFAULT_TIMEOUT = 120.0
-
-#: Poll step (seconds) of blocking waits; also bounds how often the
-#: deadlock detector re-checks an already-blocked rank.
-_WAIT_STEP = 0.05
 
 
 def _copy_payload(obj: Any) -> Any:
@@ -94,15 +95,16 @@ class _Mailbox:
     def __init__(self, state: "_CommState", rank: int) -> None:
         self._state = state
         self._rank = rank
-        self._cond = threading.Condition()
+        self._world = state.world_ranks[rank]
+        self._lock = threading.Lock()
         self._messages: list[_Message] = []
         self._seq = 0
 
     def put(self, src: int, tag: int, payload: Any) -> None:
-        with self._cond:
+        with self._lock:
             self._messages.append(_Message(src, tag, payload, self._seq))
             self._seq += 1
-            self._cond.notify_all()
+        self._state.scheduler.poke(self._world)
 
     def _match_index(self, source: int, tag: int) -> int | None:
         for i, msg in enumerate(self._messages):
@@ -113,16 +115,8 @@ class _Mailbox:
             return i
         return None
 
-    def _has_match(self, source: int, tag: int) -> bool:
-        """Lock-free peek (GIL-atomic snapshot; safe for wait probes)."""
-        for msg in list(self._messages):
-            if source in (ANY_SOURCE, msg.src) and tag in (ANY_TAG, msg.tag):
-                return True
-        return False
-
     def _edge(self, source: int, tag: int) -> WaitEdge:
         state = self._state
-        me = state.world_ranks[self._rank]
         if source == ANY_SOURCE:
             peers = tuple(w for r, w in enumerate(state.world_ranks)
                           if r != self._rank)
@@ -130,136 +124,75 @@ class _Mailbox:
         else:
             peers = (state.world_ranks[source],)
             detail = f"source={state.world_ranks[source]}"
-        return WaitEdge(rank=me, op="recv", peers=peers,
+        return WaitEdge(rank=self._world, op="recv", peers=peers,
                         tag=None if tag == ANY_TAG else tag, detail=detail)
 
-    def get(self, source: int, tag: int, timeout: float) -> _Message:
+    def get(self, source: int, tag: int, timeout: float | None) -> _Message:
         state = self._state
-        abort = state.abort
-        if state.scheduler is not None:
-            state.scheduler.wait_until(
-                lambda: abort.is_set() or self._has_match(source, tag),
-                self._edge(source, tag),
-            )
-            if abort.is_set():
+        sched = state.scheduler
+        if sched.preemptive or self._match_index(source, tag) is None:
+            if not sched.wait_until(
+                    lambda: self._match_index(source, tag) is not None,
+                    self._edge(source, tag), timeout):
+                raise SimMPIError(
+                    f"recv(source={source}, tag={tag}) timed out "
+                    f"after {timeout:.1f}s — deadlock?"
+                )
+            if state.abort.is_set():
                 raise SimAbort("run aborted by another rank")
-            with self._cond:
-                i = self._match_index(source, tag)
-                assert i is not None  # scheduler only wakes us when matched
-                return self._messages.pop(i)
-
-        deadline = threading.TIMEOUT_MAX if timeout is None else timeout
-        edge = self._edge(source, tag)
-
-        def satisfied() -> bool:
-            return abort.is_set() or self._has_match(source, tag)
-
-        with self._cond:
-            waited = 0.0
-            registered = False
-            try:
-                while True:
-                    if abort.is_set():
-                        raise SimAbort("run aborted by another rank")
-                    i = self._match_index(source, tag)
-                    if i is not None:
-                        return self._messages.pop(i)
-                    if not registered:
-                        state.registry.register(edge, satisfied)
-                        registered = True
-                    state.registry.raise_if_deadlocked(edge.rank)
-                    remaining = deadline - waited
-                    if remaining <= 0:
-                        raise SimMPIError(
-                            f"recv(source={source}, tag={tag}) timed out "
-                            f"after {deadline:.1f}s — deadlock?"
-                        )
-                    step = min(_WAIT_STEP, remaining)
-                    self._cond.wait(step)
-                    waited += step
-            finally:
-                if registered:
-                    state.registry.unregister(edge.rank)
+        with self._lock:
+            return self._messages.pop(self._match_index(source, tag))
 
     def probe(self, source: int, tag: int) -> bool:
-        with self._cond:
+        with self._lock:
             return self._match_index(source, tag) is not None
 
 
 class _Barrier:
-    """Generation-counting cyclic barrier with deadlock registration.
+    """Generation-counting cyclic barrier that parks in the scheduler.
 
-    Replaces ``threading.Barrier`` so waiting ranks can (a) register
-    wait-for edges naming the members still missing, (b) park in the
-    deterministic scheduler instead of blocking natively, and (c) be
-    woken by :meth:`abort`. ``wait`` returns a unique arrival index
-    per generation; the first arriver gets 0 (the reduction owner).
+    Replaces ``threading.Barrier`` so waiting ranks park in the
+    scheduler, giving up the baton, with a wait-for edge naming the
+    members still missing. ``wait`` returns a unique
+    arrival index per generation; the first arriver gets 0 (the
+    reduction owner). The last arriver releases the others and keeps
+    running.
     """
 
     def __init__(self, state: "_CommState") -> None:
         self._state = state
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
         self._count = 0
         self._gen = 0
         self._arrived: set[int] = set()
-        self.broken = False
 
-    def abort(self) -> None:
-        with self._cond:
-            self.broken = True
-            self._cond.notify_all()
-        sched = self._state.scheduler
-        if sched is not None:
-            sched.abort_all()
-
-    def wait(self, timeout: float, rank: int) -> int:
+    def wait(self, timeout: float | None, rank: int) -> int:
         state = self._state
-        with self._cond:
-            if self.broken:
-                raise threading.BrokenBarrierError
+        with self._lock:
             gen = self._gen
             idx = self._count
             self._count += 1
             self._arrived.add(rank)
-            if self._count == state.size:
+            last = self._count == state.size
+            if last:
                 self._count = 0
                 self._arrived.clear()
                 self._gen += 1
-                self._cond.notify_all()
-                return idx
-            peers = tuple(state.world_ranks[r] for r in range(state.size)
-                          if r != rank and r not in self._arrived)
-        me = state.world_ranks[rank]
-        edge = WaitEdge(rank=me, op="barrier", peers=peers,
-                        detail=f"{state.size}-rank barrier")
-
-        def released() -> bool:
-            return self.broken or self._gen != gen or state.abort.is_set()
-
-        if state.scheduler is not None:
-            state.scheduler.wait_until(released, edge)
-            if self.broken or state.abort.is_set():
-                raise threading.BrokenBarrierError
+            else:
+                peers = tuple(state.world_ranks[r] for r in range(state.size)
+                              if r != rank and r not in self._arrived)
+        if last:
+            for world in state.world_ranks:
+                state.scheduler.poke(world)
             return idx
-
-        deadline = threading.TIMEOUT_MAX if timeout is None else timeout
-        with self._cond:
-            waited = 0.0
-            with state.registry.blocking(edge, released):
-                while not (self.broken or self._gen != gen):
-                    if state.abort.is_set():
-                        raise threading.BrokenBarrierError
-                    state.registry.raise_if_deadlocked(me)
-                    if waited >= deadline:
-                        self.broken = True
-                        self._cond.notify_all()
-                        raise threading.BrokenBarrierError
-                    step = min(_WAIT_STEP, deadline - waited)
-                    self._cond.wait(step)
-                    waited += step
-            if self.broken:
-                raise threading.BrokenBarrierError
-            return idx
+        edge = WaitEdge(rank=state.world_ranks[rank], op="barrier",
+                        peers=peers, detail=f"{state.size}-rank barrier")
+        if not state.scheduler.wait_until(lambda: self._gen != gen, edge,
+                                          timeout):
+            raise SimMPIError("barrier timed out — deadlock?")
+        if state.abort.is_set():
+            raise SimAbort("run aborted by another rank")
+        return idx
 
 
 class _Collective:
@@ -299,15 +232,13 @@ class _CommState:
 
     def __init__(self, size: int, world_ranks: Sequence[int],
                  traffic: Traffic, abort: threading.Event,
-                 timeout: float, registry: WaitRegistry | None = None,
-                 scheduler: "DeterministicScheduler | None" = None,
+                 timeout: float, scheduler: DeterministicScheduler,
                  faults: "FaultPlan | None" = None) -> None:
         self.size = size
         self.world_ranks = list(world_ranks)
         self.traffic = traffic
         self.abort = abort
         self.timeout = timeout
-        self.registry = registry if registry is not None else WaitRegistry()
         self.scheduler = scheduler
         self.faults = faults
         self.mailboxes = [_Mailbox(self, r) for r in range(size)]
@@ -376,8 +307,8 @@ class SimComm:
             self._send_with_faults(plan, payload, dest, dst_world, tag)
         else:
             self._state.mailboxes[dest].put(self.rank, tag, payload)
-        if self._state.scheduler is not None:
-            self._state.scheduler.maybe_yield()
+        if self._state.scheduler.preemptive:
+            self._state.scheduler.yield_baton(self.world_rank)
 
     def _send_with_faults(self, plan, payload: Any, dest: int,
                           dst_world: int, tag: int) -> None:
@@ -440,12 +371,15 @@ class SimComm:
     def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
         """Nonblocking check for a matching pending message.
 
-        Under a deterministic scheduler this is a yield point, so a
-        probe-poll loop cannot starve the rank it is waiting on.
+        A probe that finds nothing hands the baton on (a seeded
+        schedule yields at every probe), so a probe-poll loop cannot
+        starve the rank it is waiting on.
         """
-        if self._state.scheduler is not None:
-            self._state.scheduler.maybe_yield()
-        return self._state.mailboxes[self.rank].probe(source, tag)
+        sched = self._state.scheduler
+        mailbox = self._state.mailboxes[self.rank]
+        if sched.preemptive or not mailbox.probe(source, tag):
+            sched.yield_baton(self.world_rank)
+        return mailbox.probe(source, tag)
 
     def sendrecv(self, obj: Any, dest: int, source: int,
                  sendtag: int = 0, recvtag: int = ANY_TAG) -> Any:
@@ -455,13 +389,8 @@ class SimComm:
 
     # -- collectives -------------------------------------------------------
     def _barrier_wait(self) -> int:
-        try:
-            return self._state.collective.barrier.wait(
-                self._state.timeout, self.rank)
-        except threading.BrokenBarrierError as exc:
-            if self._state.abort.is_set():
-                raise SimAbort("run aborted by another rank") from exc
-            raise SimMPIError("barrier timed out — deadlock?") from exc
+        return self._state.collective.barrier.wait(self._state.timeout,
+                                                   self.rank)
 
     def barrier(self) -> None:
         with _tspan("barrier", "smpi.collective", size=self.size):
@@ -576,7 +505,6 @@ class SimComm:
                         traffic=state.traffic,
                         abort=state.abort,
                         timeout=state.timeout,
-                        registry=state.registry,
                         scheduler=state.scheduler,
                         faults=state.faults,
                     )
@@ -603,7 +531,7 @@ def waitall(requests: list[Request]) -> list[Any]:
 def run_ranks(nranks: int, fn: Callable[..., Any], args: tuple = (),
               timeout: float = DEFAULT_TIMEOUT,
               traffic: Traffic | None = None,
-              scheduler: "DeterministicScheduler | None" = None,
+              scheduler: DeterministicScheduler | None = None,
               fault_plan: "FaultPlan | None" = None,
               transport: str | None = None,
               watchdog_s: float | None = None,
@@ -611,36 +539,40 @@ def run_ranks(nranks: int, fn: Callable[..., Any], args: tuple = (),
     """Run ``fn(comm, *args)`` on ``nranks`` cooperating ranks.
 
     Returns each rank's return value, ordered by rank. If any rank
-    raises, the whole run is aborted (barriers broken, mailbox waits
-    poisoned) and the first failure is re-raised.
+    raises, the whole run is aborted (every parked rank is woken and
+    unwinds) and the lowest-ranked failure is re-raised.
 
     ``watchdog_s`` tunes the process transport's hung-child deadline
     (default ``$REPRO_SMPI_WATCHDOG_S``, else ``2 * timeout``) and
     ``heartbeat_s`` its per-child liveness heartbeat (default
     ``$REPRO_SMPI_HEARTBEAT_S``, else disabled); the threaded
-    transport ignores both — its wait-for-graph detector reports
-    genuine deadlocks directly.
+    transport ignores both — its scheduler reports genuine deadlocks
+    directly.
 
     ``transport`` selects how ranks execute (default: the
     ``REPRO_SMPI_TRANSPORT`` environment variable, else ``"thread"``):
 
-    * ``"thread"`` — ranks are threads of this interpreter. Blocked
-      send/recv or barrier cycles are reported as
+    * ``"thread"`` — ranks are threads of this interpreter that run
+      *one at a time*: a
+      :class:`~repro.smpi.schedule.DeterministicScheduler` passes a
+      single baton, and a rank hands it on only when it blocks (a
+      recv with no matching message, a barrier, a probe that finds
+      nothing, or exit). The default scheduler is ordered (FIFO, no
+      preemption), so a run is reproducible; pass one with an integer
+      seed to explore seeded, replayable interleavings instead.
+      Blocked send/recv or barrier cycles are reported as
       :class:`~repro.smpi.errors.DeadlockError` with the wait-for
-      cycle long before ``timeout``. Pass a
-      :class:`~repro.smpi.schedule.DeterministicScheduler` to
-      serialize the ranks under a seeded, replayable interleaving,
-      and/or a :class:`~repro.smpi.faults.FaultPlan` to inject crashes
-      and message faults deterministically (world ranks and every
-      sub-communicator share the plan).
-    * ``"process"`` — ranks are forked OS processes with true
-      multi-core parallelism (see :mod:`repro.smpi.transport`).
-      Fault plans work here too — each forked rank applies its
-      inherited copy and fire-once state is merged back — with two
-      transport-specific rules enforced up front: message faults must
-      pin ``src``, and ``crash_hard`` faults are *only* expressible
-      here. The deterministic scheduler remains thread-only;
-      requesting one raises
+      cycle as soon as nobody can run; ``timeout`` bounds each
+      blocking operation. A :class:`~repro.smpi.faults.FaultPlan`
+      injects crashes and message faults deterministically (world
+      ranks and every sub-communicator share the plan).
+    * ``"process"`` — ranks are forked OS processes: the parallel
+      transport, with true multi-core execution (see
+      :mod:`repro.smpi.transport`). Fault plans work here too — each
+      forked rank applies its inherited copy and fire-once state is
+      merged back — with two transport-specific rules enforced up
+      front: message faults must pin ``src``, and ``crash_hard``
+      faults are *only* expressible here. Passing a scheduler raises
       :class:`~repro.smpi.errors.TransportError`.
     """
     from repro.smpi.transport import resolve_transport, run_ranks_process
@@ -664,12 +596,10 @@ def run_ranks(nranks: int, fn: Callable[..., Any], args: tuple = (),
         raise ValueError(f"nranks must be >= 1, got {nranks}")
     traffic = traffic if traffic is not None else Traffic()
     abort = threading.Event()
-    registry = WaitRegistry()
-    if scheduler is not None:
-        scheduler.attach(nranks, abort)
+    scheduler = scheduler if scheduler is not None else DeterministicScheduler()
+    scheduler.attach(nranks, abort)
     state = _CommState(nranks, list(range(nranks)), traffic, abort, timeout,
-                       registry=registry, scheduler=scheduler,
-                       faults=fault_plan)
+                       scheduler=scheduler, faults=fault_plan)
     results: list[Any] = [None] * nranks
     failures: list[tuple[int, BaseException]] = []
     failures_lock = threading.Lock()
@@ -677,8 +607,7 @@ def run_ranks(nranks: int, fn: Callable[..., Any], args: tuple = (),
     def runner(rank: int) -> None:
         comm = SimComm(state, rank)
         try:
-            if scheduler is not None:
-                scheduler.thread_started(rank)
+            scheduler.thread_started(rank)
             results[rank] = fn(comm, *args)
         except SimAbort:
             pass
@@ -686,17 +615,9 @@ def run_ranks(nranks: int, fn: Callable[..., Any], args: tuple = (),
             with failures_lock:
                 failures.append((rank, exc))
             abort.set()
-            state.collective.barrier.abort()
-            with state._split_lock:
-                for entry in state._split_results.values():
-                    for sub in entry["comms"].values():  # type: ignore[union-attr]
-                        sub.collective.barrier.abort()
-            if scheduler is not None:
-                scheduler.abort_all()
+            scheduler.abort_all()
         finally:
-            registry.mark_done(rank)
-            if scheduler is not None:
-                scheduler.thread_finished(rank)
+            scheduler.thread_finished(rank)
 
     threads = [
         threading.Thread(target=runner, args=(r,), name=f"smpi-rank-{r}", daemon=True)
@@ -708,9 +629,7 @@ def run_ranks(nranks: int, fn: Callable[..., Any], args: tuple = (),
         t.join(timeout=timeout * 2)
         if t.is_alive():
             abort.set()
-            state.collective.barrier.abort()
-            if scheduler is not None:
-                scheduler.abort_all()
+            scheduler.abort_all()
             with failures_lock:
                 if not failures:  # prefer a rank's own error if one exists
                     raise SimMPIError(

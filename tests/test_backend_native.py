@@ -158,6 +158,49 @@ def test_cache_key_includes_flags(monkeypatch):
     assert len(list(cache_dir().glob("*.so"))) == 2
 
 
+def _race_for_entry(start, out):
+    """Forked child: build the SAXPY entry once the others are ready.
+
+    It builds and loads the entry without running it: this process
+    may have inherited an OpenMP runtime that cannot run after fork.
+    """
+    from repro.op2.parloop import ParLoop
+
+    kernel = op2.Kernel(SAXPY)
+    cells = op2.Set(8, "cells")
+    args = [op2.Dat(cells, 1, name="x").arg(op2.READ),
+            op2.Dat(cells, 1, name="y").arg(op2.WRITE),
+            op2.Global(1, 0.5, name="g").arg(op2.READ)]
+    nsig = ParLoop(kernel, cells, args).native_signature()
+    start.wait()
+    with telemetry.tracing() as rec:
+        entry = native_mod._build_entry(kernel, nsig)
+    out.put((rec.counters.get("op2.native.compile", 0),
+             isinstance(entry, native_mod._Fallback)))
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C toolchain")
+def test_forked_ranks_compile_a_cold_entry_once():
+    """Four forked processes racing on one cold entry: the per-entry
+    lock lets one compile while the rest wait and load its object."""
+    import multiprocessing as mp
+
+    ctx = mp.get_context("fork")
+    start, out = ctx.Barrier(4), ctx.Queue()
+    procs = [ctx.Process(target=_race_for_entry, args=(start, out))
+             for _ in range(4)]
+    for p in procs:
+        p.start()
+    results = [out.get(timeout=120) for _ in procs]
+    for p in procs:
+        p.join(timeout=30)
+        assert p.exitcode == 0
+    assert sum(compiles for compiles, _ in results) == 1
+    assert not any(fallback for _, fallback in results)
+    assert len(list(cache_dir().glob("*.so"))) == 1
+    assert len(list(cache_dir().glob("*.c"))) == 1
+
+
 @pytest.mark.skipif(not HAVE_CC, reason="no C toolchain")
 def test_generated_source_is_inspectable():
     kernel = op2.Kernel(FLUX)
