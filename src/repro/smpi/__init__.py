@@ -3,8 +3,9 @@
 The paper's runs use real MPI on up to 65k cores of ARCHER2. Here,
 ranks are either threads of one interpreter that pass a single baton
 (one rank runs at a time and hands off only when it blocks, so runs
-are reproducible) or forked processes — the parallel transport. Both
-exchange numpy buffers with genuine blocking semantics (a misordered
+are reproducible) or forked processes — the parallel transport. One
+communicator class, :class:`SimComm`, runs over either wire and
+exchanges numpy buffers with genuine blocking semantics (a misordered
 send/recv deadlocks — on threads it is reported with the actual
 blocked-on cycle, exactly what a hung cluster job would not tell you).
 The layer provides communicators, ``split`` for the HS/CU
@@ -34,7 +35,6 @@ from repro.smpi.transport import (
     HEARTBEAT_ENV,
     TRANSPORTS,
     WATCHDOG_ENV,
-    ProcessComm,
     default_transport,
     heartbeat_seconds,
     resolve_transport,
@@ -52,7 +52,6 @@ __all__ = [
     "FaultRecord",
     "HEARTBEAT_ENV",
     "MessageFault",
-    "ProcessComm",
     "ProcessRankDied",
     "RankFailure",
     "Request",

@@ -1,42 +1,54 @@
-"""Simulated MPI communicators over Python threads.
+"""Simulated MPI communicators: one Comm, two wires.
 
-Each rank runs its target function on its own thread; ranks of a
-communicator share mailboxes (point-to-point) and a collective context
-(barrier + data slots). The threads run **one at a time**: every run
-attaches a :class:`~repro.smpi.schedule.DeterministicScheduler` that
-passes a single baton, and a rank hands it on only when it blocks — a
-``recv`` with no matching message, a barrier, a ``probe`` that finds
-nothing, or exit. The default policy is ordered (the next rank is the
-head of a FIFO run queue) and non-preemptive, so runs are
-reproducible and the rank threads never contend for the interpreter
-lock; the forked-process transport (:mod:`repro.smpi.transport`) is
-the one with real parallelism. An integer-seeded scheduler
-(``run_ranks(..., scheduler=...)``) instead yields at every send and
-draws each decision from a seeded RNG, which turns ``ANY_SOURCE`` and
-``probe`` races from flaky into sweepable.
+:class:`SimComm` is the only communicator class. It owns everything a
+rank sees — message matching, collectives, ``split``, the fault path,
+the traffic ledger, telemetry spans and the wait-for edge of every
+blocking wait — and sits on a *wire* that only moves messages:
+``post`` a message, ``wait`` until a predicate holds, ``poll`` for a
+probe, ``beat`` for liveness, and an ``abort`` event. There are two:
+
+* the **thread wire** (:class:`_ThreadWire`, here): ranks are threads of
+  one interpreter that run **one at a time**. Every run attaches a
+  :class:`~repro.smpi.schedule.DeterministicScheduler` that passes a
+  single baton, and a rank hands it on only when it blocks — a wait
+  with no matching message (a ``recv`` or a collective), a ``probe``
+  that finds nothing, or exit. The default policy is ordered (the next
+  rank is the head of a FIFO run queue) and non-preemptive, so runs
+  are reproducible and the rank threads never contend for the
+  interpreter lock. An integer-seeded scheduler (``run_ranks(...,
+  scheduler=...)``) instead yields after every post and draws each
+  decision from a seeded RNG, which turns ``ANY_SOURCE`` and ``probe``
+  races from flaky into sweepable.
+* the **process wire** (:mod:`repro.smpi.transport`): ranks are forked
+  processes with real parallelism.
 
 Blocking semantics are real — a ``recv`` with no matching ``send``
-blocks, mirroring a hung MPI job — but hangs are *diagnosed*, not
-merely timed out: each blocking operation parks with a wait-for edge,
-and when no rank can take the baton the scheduler raises
+blocks, mirroring a hung MPI job — but on threads hangs are
+*diagnosed*, not merely timed out: each wait parks with a wait-for
+edge, and when no rank can take the baton the scheduler raises
 :class:`~repro.smpi.errors.DeadlockError` naming the full cycle (rank
 0 waiting on rank 1 waiting on rank 0, or a wait on a rank that
 already exited). The per-operation timeout remains as a backstop for
-ranks stuck *outside* MPI (e.g. a rank sleeping or looping while it
-holds the baton).
+ranks stuck *outside* MPI, and its error names the same edge.
 
 Design notes
 ------------
-* Payloads that are numpy arrays are **copied on send** (value
-  semantics, like a real network) so a sender mutating its buffer
-  after ``send`` cannot corrupt the receiver — the classic MPI buffer
-  contract.
-* Collectives use a generation-counting barrier plus shared slots; the
-  rank that draws arrival index 0 performs the reduction.
-  Sub-communicators from :meth:`SimComm.split` get fresh
-  mailboxes/barriers, so HS and CU groups of the coupled solver cannot
-  interfere — but they share the world's scheduler and traffic ledger.
-* All traffic is recorded in a world-level :class:`~repro.smpi.traffic.Traffic`
+* Payloads are copied on post (value semantics, like a real network):
+  a sender mutating its buffer after ``send`` cannot corrupt the
+  receiver — the classic MPI buffer contract.
+* Every message carries ``(comm_id, kind, src, tag)``; each rank keeps
+  one buffer per communicator id and receives match the oldest entry
+  (the MPI non-overtaking rule).
+* Collectives are ``kind="coll"`` point-to-point messages tagged with a
+  per-communicator sequence number: fan in to the root, fold in
+  ascending rank order, fan back out. Reductions are therefore
+  bitwise-identical on both wires. Collective messages stay out of the
+  traffic ledger and the fault plan.
+* Sub-communicators from :meth:`SimComm.split` are deterministic
+  ``comm_id`` namespaces over the same wire, so HS and CU groups of the
+  coupled solver cannot interfere — but they share the world's
+  scheduler and traffic ledger.
+* All traffic is recorded in a :class:`~repro.smpi.traffic.Traffic`
   ledger keyed by *world* ranks, whatever communicator carried it.
 """
 
@@ -44,6 +56,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
@@ -81,127 +94,60 @@ def _copy_payload(obj: Any) -> Any:
     return obj
 
 
-@dataclass
-class _Message:
-    src: int
-    tag: int
-    payload: Any
-    seq: int
+class _ThreadWire:
+    """One rank's end of the in-process wire of a thread-transport world.
 
+    Every rank owns a buffer per communicator id; a post copies the
+    payload (numpy value semantics) straight into the receiver's buffer
+    and pokes the receiver in the run's
+    :class:`~repro.smpi.schedule.DeterministicScheduler`. Waits park in
+    that scheduler, which passes the single baton and reports deadlocks
+    from the edges it is handed. A seeded scheduler yields after each
+    post and at satisfied waits (``preemptive``).
 
-class _Mailbox:
-    """Incoming-message queue for one rank of one communicator."""
-
-    def __init__(self, state: "_CommState", rank: int) -> None:
-        self._state = state
-        self._rank = rank
-        self._world = state.world_ranks[rank]
-        self._lock = threading.Lock()
-        self._messages: list[_Message] = []
-        self._seq = 0
-
-    def put(self, src: int, tag: int, payload: Any) -> None:
-        with self._lock:
-            self._messages.append(_Message(src, tag, payload, self._seq))
-            self._seq += 1
-        self._state.scheduler.poke(self._world)
-
-    def _match_index(self, source: int, tag: int) -> int | None:
-        for i, msg in enumerate(self._messages):
-            if source not in (ANY_SOURCE, msg.src):
-                continue
-            if tag not in (ANY_TAG, msg.tag):
-                continue
-            return i
-        return None
-
-    def _edge(self, source: int, tag: int) -> WaitEdge:
-        state = self._state
-        if source == ANY_SOURCE:
-            peers = tuple(w for r, w in enumerate(state.world_ranks)
-                          if r != self._rank)
-            detail = "source=ANY"
-        else:
-            peers = (state.world_ranks[source],)
-            detail = f"source={state.world_ranks[source]}"
-        return WaitEdge(rank=self._world, op="recv", peers=peers,
-                        tag=None if tag == ANY_TAG else tag, detail=detail)
-
-    def get(self, source: int, tag: int, timeout: float | None) -> _Message:
-        state = self._state
-        sched = state.scheduler
-        if sched.preemptive or self._match_index(source, tag) is None:
-            if not sched.wait_until(
-                    lambda: self._match_index(source, tag) is not None,
-                    self._edge(source, tag), timeout):
-                raise SimMPIError(
-                    f"recv(source={source}, tag={tag}) timed out "
-                    f"after {timeout:.1f}s — deadlock?"
-                )
-            if state.abort.is_set():
-                raise SimAbort("run aborted by another rank")
-        with self._lock:
-            return self._messages.pop(self._match_index(source, tag))
-
-    def probe(self, source: int, tag: int) -> bool:
-        with self._lock:
-            return self._match_index(source, tag) is not None
-
-
-class _Barrier:
-    """Generation-counting cyclic barrier that parks in the scheduler.
-
-    Replaces ``threading.Barrier`` so waiting ranks park in the
-    scheduler, giving up the baton, with a wait-for edge naming the
-    members still missing. ``wait`` returns a unique
-    arrival index per generation; the first arriver gets 0 (the
-    reduction owner). The last arriver releases the others and keeps
-    running.
+    The buffers need no lock, even for a rank that times out and runs
+    on without the baton: only the owning rank removes entries, and
+    other ranks only append, which moves no index the owner found.
     """
 
-    def __init__(self, state: "_CommState") -> None:
-        self._state = state
-        self._lock = threading.Lock()
-        self._count = 0
-        self._gen = 0
-        self._arrived: set[int] = set()
+    def __init__(self, world_rank: int, inboxes: list[dict[str, list]],
+                 scheduler: DeterministicScheduler, abort: threading.Event,
+                 traffic: Traffic, faults: "FaultPlan | None",
+                 timeout: float) -> None:
+        self.world_rank = world_rank
+        self._inboxes = inboxes
+        self._scheduler = scheduler
+        self.preemptive = scheduler.preemptive
+        self.abort = abort
+        self.traffic = traffic
+        self.faults = faults
+        self.timeout = timeout
 
-    def wait(self, timeout: float | None, rank: int) -> int:
-        state = self._state
-        with self._lock:
-            gen = self._gen
-            idx = self._count
-            self._count += 1
-            self._arrived.add(rank)
-            last = self._count == state.size
-            if last:
-                self._count = 0
-                self._arrived.clear()
-                self._gen += 1
-            else:
-                peers = tuple(state.world_ranks[r] for r in range(state.size)
-                              if r != rank and r not in self._arrived)
-        if last:
-            for world in state.world_ranks:
-                state.scheduler.poke(world)
-            return idx
-        edge = WaitEdge(rank=state.world_ranks[rank], op="barrier",
-                        peers=peers, detail=f"{state.size}-rank barrier")
-        if not state.scheduler.wait_until(lambda: self._gen != gen, edge,
-                                          timeout):
-            raise SimMPIError("barrier timed out — deadlock?")
-        if state.abort.is_set():
+    def inbox(self, comm_id: str) -> list:
+        return self._inboxes[self.world_rank][comm_id]
+
+    def post(self, dst_world: int, comm_id: str, kind: str, tag: int,
+             obj: Any) -> None:
+        self._inboxes[dst_world][comm_id].append(
+            (kind, self.world_rank, tag, _copy_payload(obj)))
+        self._scheduler.poke(dst_world)
+        if self.preemptive:
+            self._scheduler.yield_baton(self.world_rank)
+
+    def wait(self, ready: Callable[[], bool], edge: WaitEdge,
+             timeout: float) -> bool:
+        if not self._scheduler.wait_until(ready, edge, timeout):
+            return False
+        if self.abort.is_set():
             raise SimAbort("run aborted by another rank")
-        return idx
+        return True
 
+    def poll(self) -> None:
+        """Hand the baton on: only another rank can post a message."""
+        self._scheduler.yield_baton(self.world_rank)
 
-class _Collective:
-    """Barrier + data slots shared by the ranks of one communicator."""
-
-    def __init__(self, state: "_CommState") -> None:
-        self.barrier = _Barrier(state)
-        self.slots: list[Any] = [None] * state.size
-        self.result: Any = None
+    def beat(self) -> None:
+        """No liveness reporting: the scheduler sees every wait."""
 
 
 @dataclass
@@ -227,106 +173,141 @@ class Request:
         return self._done
 
 
-class _CommState:
-    """Shared state behind every rank-view of one communicator."""
-
-    def __init__(self, size: int, world_ranks: Sequence[int],
-                 traffic: Traffic, abort: threading.Event,
-                 timeout: float, scheduler: DeterministicScheduler,
-                 faults: "FaultPlan | None" = None) -> None:
-        self.size = size
-        self.world_ranks = list(world_ranks)
-        self.traffic = traffic
-        self.abort = abort
-        self.timeout = timeout
-        self.scheduler = scheduler
-        self.faults = faults
-        self.mailboxes = [_Mailbox(self, r) for r in range(size)]
-        self.collective = _Collective(self)
-        self._split_lock = threading.Lock()
-        self._split_results: dict[int, dict[int, "_CommState"]] = {}
-        self._split_gen = 0
-
-
 class SimComm:
-    """One rank's view of a simulated-MPI communicator."""
+    """One rank's view of a simulated-MPI communicator, on either wire.
 
-    def __init__(self, state: _CommState, rank: int) -> None:
-        self._state = state
+    ``world_ranks`` lists the members' world ranks in communicator rank
+    order; ``comm_id`` names the communicator's message namespace on
+    the wire (``"world"``, or a deterministic id derived by
+    :meth:`split`).
+    """
+
+    def __init__(self, wire: Any, world_ranks: Sequence[int], rank: int,
+                 comm_id: str = "world") -> None:
+        self._wire = wire
+        self._world = list(world_ranks)
+        self._local = {w: r for r, w in enumerate(self._world)}
         self.rank = rank
+        self.comm_id = comm_id
+        self._inbox: list = wire.inbox(comm_id)
+        #: collective sequence tag; every member calls collectives in
+        #: the same program order, so the tags agree without negotiation
+        self._seq = 0
+        self._op = ""
+        self._splits = 0
 
     # -- introspection -------------------------------------------------
     @property
     def size(self) -> int:
-        return self._state.size
+        return len(self._world)
 
     @property
     def traffic(self) -> Traffic:
-        return self._state.traffic
+        return self._wire.traffic
 
     @property
     def world_rank(self) -> int:
         """This rank's id in the world communicator."""
-        return self._state.world_ranks[self.rank]
+        return self._world[self.rank]
 
     def set_phase(self, phase: str) -> None:
         """Label subsequent sends from this rank for traffic accounting."""
-        self._state.traffic.set_phase(self.world_rank, phase)
+        self._wire.traffic.set_phase(self.world_rank, phase)
 
     # -- fault injection ------------------------------------------------
     def notify_step(self, step: int) -> None:
         """Announce a physical-step boundary to the installed fault plan.
 
         No-op without a plan. A matching crash fault raises
-        :class:`~repro.smpi.errors.RankFailure` here, which aborts the
-        world through the standard failure path.
+        :class:`~repro.smpi.errors.RankFailure` here (a hard crash kills
+        the rank's process), which aborts the world through the
+        standard failure path. On processes this also beats the
+        liveness heartbeat.
         """
-        plan = self._state.faults
+        self._wire.beat()
+        plan = self._wire.faults
         if plan is not None:
             plan.on_step(self.world_rank, step)
 
+    # -- matching ---------------------------------------------------------
+    def _find(self, kind: str, src: int, tag: int) -> int | None:
+        """Index of the oldest buffered message matching, else None."""
+        for i, (k, s, t, _p) in enumerate(self._inbox):
+            if k == kind and src in (ANY_SOURCE, s) and tag in (ANY_TAG, t):
+                return i
+        return None
+
+    def _take(self, kind: str, src: int, tag: int, timeout: float,
+              op: str) -> tuple[str, int, int, Any]:
+        """Blocking matched receive of ``(kind, src_world, tag, payload)``.
+
+        ``src`` is a world rank or ``ANY_SOURCE``; ``op`` labels the
+        wait-for edge (``"recv"`` or the enclosing collective's name).
+        """
+        wire = self._wire
+        i = self._find(kind, src, tag)
+        if i is None or wire.preemptive:
+            edge = self._edge(op, src, tag if kind == "p2p" else None)
+            if not wire.wait(lambda: self._find(kind, src, tag) is not None,
+                             edge, timeout):
+                peers = ", ".join(f"rank {p}" for p in edge.peers)
+                raise SimMPIError(
+                    f"rank {edge.rank}: {edge.describe()} timed out after "
+                    f"{timeout:.1f}s waiting on {peers or 'nobody'} "
+                    f"— deadlock?")
+            i = self._find(kind, src, tag)
+        return self._inbox.pop(i)
+
+    def _edge(self, op: str, src: int, tag: int | None) -> WaitEdge:
+        if src == ANY_SOURCE:
+            peers = tuple(w for w in self._world if w != self.world_rank)
+            detail = "source=ANY"
+        else:
+            peers, detail = (src,), f"source={src}"
+        return WaitEdge(rank=self.world_rank, op=op, peers=peers,
+                        tag=None if tag == ANY_TAG else tag, detail=detail)
+
     # -- point to point --------------------------------------------------
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
-        """Buffered blocking send (copies numpy payloads)."""
+        """Buffered send with value semantics (the receiver gets a copy).
+
+        With a fault plan installed the message takes the one fault
+        path: record, classify (``on_send``), corrupt a private copy,
+        hold a send-time snapshot, deliver, release held messages.
+        """
         if not 0 <= dest < self.size:
             raise SimMPIError(f"send dest {dest} out of range [0, {self.size})")
-        payload = _copy_payload(obj)
+        wire = self._wire
+        dst = self._world[dest]
         nbytes = payload_nbytes(obj)
-        dst_world = self._state.world_ranks[dest]
-        self._state.traffic.record(self.world_rank, dst_world, nbytes)
+        wire.traffic.record(self.world_rank, dst, nbytes)
         rec = active_recorder()
         if rec is not None:
-            rec.instant("send", "smpi.send",
-                        dst=dst_world, tag=tag,
-                        nbytes=nbytes,
-                        phase=self._state.traffic.phase_of(self.world_rank))
+            rec.instant("send", "smpi.send", dst=dst, tag=tag, nbytes=nbytes,
+                        phase=wire.traffic.phase_of(self.world_rank))
             rec.counter("smpi.messages")
             rec.counter("smpi.nbytes", nbytes)
-        plan = self._state.faults
-        if plan is not None:
-            self._send_with_faults(plan, payload, dest, dst_world, tag)
-        else:
-            self._state.mailboxes[dest].put(self.rank, tag, payload)
-        if self._state.scheduler.preemptive:
-            self._state.scheduler.yield_baton(self.world_rank)
-
-    def _send_with_faults(self, plan, payload: Any, dest: int,
-                          dst_world: int, tag: int) -> None:
-        """Apply the fault plan's verdict to one outgoing message."""
-        actions = plan.on_send(self.world_rank, dst_world, tag)
-        mailbox = self._state.mailboxes[dest]
-        rank = self.rank
+        plan = wire.faults
+        if plan is None:
+            wire.post(dst, self.comm_id, "p2p", tag, obj)
+            return
+        actions = plan.on_send(self.world_rank, dst, tag)
+        if actions.corrupt is not None or actions.hold:
+            # the sender's buffer must neither see the corruption nor
+            # leak later writes into a message still held back
+            obj = _copy_payload(obj)
         if actions.corrupt is not None:
-            payload = actions.corrupt(payload)
+            obj = actions.corrupt(obj)
+        comm_id = self.comm_id
         if actions.hold:
-            plan.hold_message(self.world_rank, dst_world,
-                              lambda: mailbox.put(rank, tag, payload))
+            plan.hold_message(self.world_rank, dst,
+                              lambda: wire.post(dst, comm_id, "p2p", tag, obj))
             return
         for _ in range(actions.deliver):
-            mailbox.put(rank, tag, payload)
+            wire.post(dst, comm_id, "p2p", tag, obj)
         # a prior delayed message to this destination arrives *after*
         # this one — the reordering the delay fault models
-        plan.release_held(self.world_rank, dst_world)
+        plan.release_held(self.world_rank, dst)
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
              timeout: float | None = None) -> Any:
@@ -336,30 +317,20 @@ class SimComm:
         one receive — serve loops use it so a dead client degrades to
         a :class:`~repro.smpi.errors.SimMPIError` instead of a hang.
         """
-        timeout = self._state.timeout if timeout is None else timeout
-        rec = active_recorder()
-        if rec is None:
-            msg = self._state.mailboxes[self.rank].get(source, tag, timeout)
-            return msg.payload
-        t0 = time.perf_counter()
-        msg = self._state.mailboxes[self.rank].get(source, tag, timeout)
-        rec.add_span("recv", "smpi.recv", t0, time.perf_counter(),
-                     src=self._state.world_ranks[msg.src], tag=msg.tag)
-        return msg.payload
+        return self.recv_status(source, tag, timeout)[0]
 
     def recv_status(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
                     timeout: float | None = None) -> tuple[Any, int, int]:
         """Blocking receive returning ``(payload, source, tag)``."""
-        timeout = self._state.timeout if timeout is None else timeout
+        timeout = self._wire.timeout if timeout is None else timeout
+        src = source if source == ANY_SOURCE else self._world[source]
         rec = active_recorder()
-        if rec is None:
-            msg = self._state.mailboxes[self.rank].get(source, tag, timeout)
-            return msg.payload, msg.src, msg.tag
-        t0 = time.perf_counter()
-        msg = self._state.mailboxes[self.rank].get(source, tag, timeout)
-        rec.add_span("recv", "smpi.recv", t0, time.perf_counter(),
-                     src=self._state.world_ranks[msg.src], tag=msg.tag)
-        return msg.payload, msg.src, msg.tag
+        t0 = time.perf_counter() if rec is not None else 0.0
+        _k, s, t, payload = self._take("p2p", src, tag, timeout, "recv")
+        if rec is not None:
+            rec.add_span("recv", "smpi.recv", t0, time.perf_counter(),
+                         src=s, tag=t)
+        return payload, self._local[s], t
 
     def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
         self.send(obj, dest, tag)
@@ -371,15 +342,15 @@ class SimComm:
     def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
         """Nonblocking check for a matching pending message.
 
-        A probe that finds nothing hands the baton on (a seeded
-        schedule yields at every probe), so a probe-poll loop cannot
-        starve the rank it is waiting on.
+        A probe that finds nothing polls the wire: on threads it hands
+        the baton on (a seeded schedule yields at every probe), so a
+        probe-poll loop cannot starve the rank it is waiting on; on
+        processes it drains the rank's queue.
         """
-        sched = self._state.scheduler
-        mailbox = self._state.mailboxes[self.rank]
-        if sched.preemptive or not mailbox.probe(source, tag):
-            sched.yield_baton(self.world_rank)
-        return mailbox.probe(source, tag)
+        src = source if source == ANY_SOURCE else self._world[source]
+        if self._wire.preemptive or self._find("p2p", src, tag) is None:
+            self._wire.poll()
+        return self._find("p2p", src, tag) is not None
 
     def sendrecv(self, obj: Any, dest: int, source: int,
                  sendtag: int = 0, recvtag: int = ANY_TAG) -> Any:
@@ -388,57 +359,70 @@ class SimComm:
         return self.recv(source, recvtag)
 
     # -- collectives -------------------------------------------------------
-    def _barrier_wait(self) -> int:
-        return self._state.collective.barrier.wait(self._state.timeout,
-                                                   self.rank)
+    # Point-to-point messages of kind "coll" tagged with the collective's
+    # sequence number, so user tags can never collide. They bypass the
+    # traffic ledger and the fault plan.
+    def _collective(self, op: str):
+        """Start collective ``op``: next sequence tag, one span."""
+        self._seq += 1
+        self._op = op
+        return _tspan(op, "smpi.collective", size=self.size)
+
+    def _coll_send(self, obj: Any, dest: int) -> None:
+        self._wire.post(self._world[dest], self.comm_id, "coll", self._seq,
+                        obj)
+
+    def _coll_recv(self, source: int) -> Any:
+        return self._take("coll", self._world[source], self._seq,
+                          self._wire.timeout, self._op)[3]
+
+    def _fan_in(self, obj: Any, root: int = 0) -> list[Any] | None:
+        """Every member's ``obj`` at ``root``, in ascending rank order."""
+        if self.rank != root:
+            self._coll_send(obj, root)
+            return None
+        return [_copy_payload(obj) if r == root else self._coll_recv(r)
+                for r in range(self.size)]
+
+    def _fan_out(self, value: Any, root: int = 0) -> Any:
+        """``root``'s ``value`` on every member."""
+        if self.rank != root:
+            return self._coll_recv(root)
+        for r in range(self.size):
+            if r != root:
+                self._coll_send(value, r)
+        return _copy_payload(value)
 
     def barrier(self) -> None:
-        with _tspan("barrier", "smpi.collective", size=self.size):
-            self._barrier_wait()
-            self._barrier_wait()  # second phase so reuse cannot overtake
+        with self._collective("barrier"):
+            self._fan_in(None)
+            self._fan_out(None)
 
     def bcast(self, obj: Any, root: int = 0) -> Any:
-        with _tspan("bcast", "smpi.collective", size=self.size):
-            coll = self._state.collective
-            if self.rank == root:
-                coll.result = _copy_payload(obj)
-            self._barrier_wait()
-            value = _copy_payload(coll.result)
-            self._barrier_wait()
-            return value
+        with self._collective("bcast"):
+            return self._fan_out(obj, root)
 
     def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
-        with _tspan("gather", "smpi.collective", size=self.size):
-            coll = self._state.collective
-            coll.slots[self.rank] = _copy_payload(obj)
-            self._barrier_wait()
-            result = list(coll.slots) if self.rank == root else None
-            self._barrier_wait()
-            return result
+        with self._collective("gather"):
+            return self._fan_in(obj, root)
 
     def allgather(self, obj: Any) -> list[Any]:
-        with _tspan("allgather", "smpi.collective", size=self.size):
-            coll = self._state.collective
-            coll.slots[self.rank] = _copy_payload(obj)
-            self._barrier_wait()
-            result = [_copy_payload(s) for s in coll.slots]
-            self._barrier_wait()
-            return result
+        with self._collective("allgather"):
+            return self._fan_out(self._fan_in(obj))
 
     def scatter(self, objs: Sequence[Any] | None, root: int = 0) -> Any:
-        with _tspan("scatter", "smpi.collective", size=self.size):
-            coll = self._state.collective
-            if self.rank == root:
-                if objs is None or len(objs) != self.size:
-                    raise SimMPIError(
-                        f"scatter root must supply {self.size} items, got "
-                        f"{None if objs is None else len(objs)}"
-                    )
-                coll.result = [_copy_payload(o) for o in objs]
-            self._barrier_wait()
-            value = _copy_payload(coll.result[self.rank])
-            self._barrier_wait()
-            return value
+        with self._collective("scatter"):
+            if self.rank != root:
+                return self._coll_recv(root)
+            if objs is None or len(objs) != self.size:
+                raise SimMPIError(
+                    f"scatter root must supply {self.size} items, got "
+                    f"{None if objs is None else len(objs)}"
+                )
+            for r in range(self.size):
+                if r != root:
+                    self._coll_send(objs[r], r)
+            return _copy_payload(objs[root])
 
     def reduce(self, obj: Any, op: Callable[[Any, Any], Any] | str = "sum",
                root: int = 0) -> Any | None:
@@ -446,34 +430,29 @@ class SimComm:
         return result if self.rank == root else None
 
     def allreduce(self, obj: Any, op: Callable[[Any, Any], Any] | str = "sum") -> Any:
-        fn = _REDUCE_OPS.get(op, op) if isinstance(op, str) else op
+        """Reduce at rank 0 in ascending rank order, then broadcast —
+        the same floating-point result on every wire."""
         if isinstance(op, str) and op not in _REDUCE_OPS:
             raise SimMPIError(f"unknown reduce op {op!r}; use one of {sorted(_REDUCE_OPS)}")
-        with _tspan("allreduce", "smpi.collective", size=self.size):
-            coll = self._state.collective
-            coll.slots[self.rank] = _copy_payload(obj)
-            idx = self._barrier_wait()
-            if idx == 0:
-                acc = coll.slots[0]
-                for other in coll.slots[1:]:
-                    acc = fn(acc, other)
-                coll.result = acc
-            self._barrier_wait()
-            value = _copy_payload(coll.result)
-            self._barrier_wait()
-            return value
+        fn = _REDUCE_OPS[op] if isinstance(op, str) else op
+        with self._collective("allreduce"):
+            slots = self._fan_in(obj)
+            if slots is None:
+                return self._fan_out(None)
+            acc = slots[0]
+            for other in slots[1:]:
+                acc = fn(acc, other)
+            return self._fan_out(acc)
 
     def alltoall(self, objs: Sequence[Any]) -> list[Any]:
         if len(objs) != self.size:
             raise SimMPIError(f"alltoall needs {self.size} items, got {len(objs)}")
-        with _tspan("alltoall", "smpi.collective", size=self.size):
-            coll = self._state.collective
-            coll.slots[self.rank] = [_copy_payload(o) for o in objs]
-            self._barrier_wait()
-            result = [_copy_payload(coll.slots[src][self.rank])
-                      for src in range(self.size)]
-            self._barrier_wait()
-            return result
+        with self._collective("alltoall"):
+            for r in range(self.size):
+                if r != self.rank:
+                    self._coll_send(objs[r], r)
+            return [_copy_payload(objs[r]) if r == self.rank
+                    else self._coll_recv(r) for r in range(self.size)]
 
     # -- communicator management ---------------------------------------
     def split(self, color: int, key: int | None = None) -> "SimComm | None":
@@ -481,46 +460,21 @@ class SimComm:
 
         A negative ``color`` opts the rank out (returns ``None``), like
         ``MPI_UNDEFINED``. All ranks of this communicator must call.
+        Every member derives the same grouping from the same gathered
+        ``(color, key, rank)`` triples, so the sub-communicator's id —
+        ``"{parent}/{n}.{color}"`` — agrees everywhere without a
+        coordinator.
         """
-        state = self._state
         key = self.rank if key is None else key
-        pairs = self.allgather((color, key, self.rank))
-        idx = self._barrier_wait()
-        with state._split_lock:
-            if idx == 0:
-                state._split_gen += 1
-                gen = state._split_gen
-                groups: dict[int, list[tuple[int, int]]] = {}
-                for c, k, r in pairs:
-                    if c >= 0:
-                        groups.setdefault(c, []).append((k, r))
-                built: dict[int, _CommState] = {}
-                rank_map: dict[int, tuple[int, int]] = {}
-                for c, members in groups.items():
-                    members.sort()
-                    ranks = [r for _k, r in members]
-                    sub = _CommState(
-                        size=len(ranks),
-                        world_ranks=[state.world_ranks[r] for r in ranks],
-                        traffic=state.traffic,
-                        abort=state.abort,
-                        timeout=state.timeout,
-                        scheduler=state.scheduler,
-                        faults=state.faults,
-                    )
-                    built[c] = sub
-                    for newrank, r in enumerate(ranks):
-                        rank_map[r] = (c, newrank)
-                state._split_results[gen] = {"comms": built, "ranks": rank_map}  # type: ignore[assignment]
-        self._barrier_wait()
-        with state._split_lock:
-            gen = state._split_gen
-            entry = state._split_results[gen]
-        self._barrier_wait()
+        triples = self.allgather((color, key, self.rank))
+        self._splits += 1
         if color < 0:
             return None
-        _c, newrank = entry["ranks"][self.rank]  # type: ignore[index]
-        return SimComm(entry["comms"][color], newrank)  # type: ignore[index]
+        ranks = [r for _k, r in sorted((k, r) for c, k, r in triples
+                                       if c == color)]
+        return SimComm(self._wire, [self._world[r] for r in ranks],
+                       ranks.index(self.rank),
+                       f"{self.comm_id}/{self._splits}.{color}")
 
 
 def waitall(requests: list[Request]) -> list[Any]:
@@ -556,7 +510,7 @@ def run_ranks(nranks: int, fn: Callable[..., Any], args: tuple = (),
       *one at a time*: a
       :class:`~repro.smpi.schedule.DeterministicScheduler` passes a
       single baton, and a rank hands it on only when it blocks (a
-      recv with no matching message, a barrier, a probe that finds
+      recv or collective with no matching message, a probe that finds
       nothing, or exit). The default scheduler is ordered (FIFO, no
       preemption), so a run is reproducible; pass one with an integer
       seed to explore seeded, replayable interleavings instead.
@@ -598,14 +552,14 @@ def run_ranks(nranks: int, fn: Callable[..., Any], args: tuple = (),
     abort = threading.Event()
     scheduler = scheduler if scheduler is not None else DeterministicScheduler()
     scheduler.attach(nranks, abort)
-    state = _CommState(nranks, list(range(nranks)), traffic, abort, timeout,
-                       scheduler=scheduler, faults=fault_plan)
+    inboxes: list[dict[str, list]] = [defaultdict(list) for _ in range(nranks)]
     results: list[Any] = [None] * nranks
     failures: list[tuple[int, BaseException]] = []
     failures_lock = threading.Lock()
 
     def runner(rank: int) -> None:
-        comm = SimComm(state, rank)
+        comm = SimComm(_ThreadWire(rank, inboxes, scheduler, abort, traffic,
+                                   fault_plan, timeout), range(nranks), rank)
         try:
             scheduler.thread_started(rank)
             results[rank] = fn(comm, *args)

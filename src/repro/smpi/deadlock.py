@@ -1,13 +1,14 @@
 """Wait-for edges and cycle reports for simulated MPI deadlocks.
 
-Every blocking operation (a ``recv`` with no matching message, a
-barrier phase waiting for stragglers) parks in the run's
+Every blocking wait (a ``recv`` with no matching message, or a
+collective waiting on a member's message) parks in the run's
 :class:`~repro.smpi.schedule.DeterministicScheduler` with a
-:class:`WaitEdge`: *who* is blocked, in *what* operation, and *which
-peers* could release it. Rank threads run one at a time and a blocked
-rank is re-queued the moment a message or barrier arrival releases it,
-so when no rank holds or can take the baton the wait is permanent —
-there is no hidden concurrency left that could still send. The
+:class:`WaitEdge`: *who* is blocked, in *what* operation (``recv`` or
+the collective's name), and *which peers* could release it. Rank
+threads run one at a time and a blocked rank is re-queued the moment
+a message releases it, so when no rank holds or can take the baton
+the wait is permanent — there is no hidden concurrency left that
+could still send. The
 scheduler then raises :class:`~repro.smpi.errors.DeadlockError` with
 the edges of every blocked rank, formatted by :func:`format_cycle`.
 """
@@ -32,7 +33,7 @@ class WaitEdge:
     """
 
     rank: int                   #: world rank of the blocked rank
-    op: str                     #: "recv", "barrier", ...
+    op: str                     #: "recv" or a collective: "barrier", ...
     peers: tuple[int, ...]      #: world ranks whose action could unblock it
     tag: int | None = None      #: message tag (None = ANY_TAG / not a recv)
     detail: str = ""            #: op-specific context, e.g. "source=1"

@@ -12,13 +12,13 @@ A :class:`DeterministicScheduler` has two policies:
 
 * ``seed=None`` (what ``run_ranks`` attaches by default) — ordered and
   non-preemptive. A rank keeps the baton until it *blocks*: a receive
-  with no matching message, a barrier, a ``probe`` that finds nothing,
-  or rank exit. Ranks join a FIFO run queue when they become runnable
-  (the send or barrier arrival that releases them, or a probe's
-  yield), and only the head of that queue is woken. Sends are not
-  yield points.
-* an integer ``seed`` — seeded exploration for the sanitizer: sends,
-  probes and every blocking call are yield points, and the next rank
+  or collective with no matching message, a ``probe`` that finds
+  nothing, or rank exit. Ranks join a FIFO run queue when they become
+  runnable (the message that releases them, or a probe's yield), and
+  only the head of that queue is woken. Sends are not yield points.
+* an integer ``seed`` — seeded exploration for the sanitizer: every
+  posted message (a send, or a collective's internal message), probes
+  and every blocking call are yield points, and the next rank
   is drawn from the *sorted* runnable set by ``random.Random(seed)``.
   Same seed, same interleaving, byte for byte; different seeds explore
   different message orders, which is what :func:`sweep_schedules`
@@ -65,10 +65,9 @@ class DeterministicScheduler:
     ``run_ranks`` attaches one to every thread-transport run; pass an
     instance with an integer ``seed`` to ``run_ranks(...,
     scheduler=...)`` for a seeded, replayable exploration instead. The
-    communicator layer calls :meth:`wait_until` at blocking operations,
+    thread wire calls :meth:`wait_until` at blocking waits,
     :meth:`yield_baton` at yield points, and :meth:`poke` after every
-    change that may release a blocked rank (a delivered message, a
-    completed barrier). Scheduling only starts once all ranks have
+    delivered message, which may release a blocked rank. Scheduling only starts once all ranks have
     registered, and the first turn goes to rank 0, so thread start-up
     order cannot leak into the schedule.
     """

@@ -1,39 +1,30 @@
-"""Transport selection for simulated-MPI runs: threads or processes.
+"""The process wire and transport selection for simulated-MPI runs.
 
-The original :func:`repro.smpi.run_ranks` executes ranks as threads of
-one interpreter — fully deterministic, instrumentable (wait-for-graph
-deadlock detection, seeded schedulers, fault plans), but GIL-capped:
-no amount of ranks buys real multi-core speedup, so the fig7/fig8
-scaling reproductions measured protocol overhead, not parallelism.
+One Comm, two wires: every rank talks through
+:class:`~repro.smpi.comm.SimComm`, whichever transport runs it. The
+thread transport (:func:`repro.smpi.run_ranks`) executes ranks as
+threads of one interpreter that pass a single baton — deterministic and
+instrumentable (seeded schedulers, a wait-for-graph deadlock oracle),
+but one rank runs at a time.
 
-This module adds a **process transport**: each rank is an OS process
-(``fork``), point-to-point messages travel through one
+This module holds the **process wire** (:class:`_ProcessWire`): each
+rank is an OS process (``fork``), messages travel through one
 ``multiprocessing.Queue`` per world rank, and numpy payloads at or
 above :data:`REPRO_SMPI_SHM_MIN` bytes (env-tunable, default 64 KiB)
 ride in ``multiprocessing.shared_memory`` segments instead of being
 pickled through the pipe — the classic large-``Dat``-halo fast path.
 Control messages (tags, communicator ids, small payloads) stay
-pickled.
-
-Semantics parity with the threaded transport:
-
-* value semantics on send (pickling or an explicit shm copy-in/out);
-* the MPI non-overtaking guarantee per (src, dst) channel (a single
-  FIFO queue per receiver);
-* collectives folded in ascending rank order, so floating-point
-  reductions are bitwise-identical across transports;
-* collective traffic is *not* recorded in the ledger (matching the
-  threaded transport's shared-slot collectives, which send nothing);
-* per-rank message logs are merged into the caller's
-  :class:`~repro.smpi.traffic.Traffic` in ascending rank order, so
-  ``Traffic.structure_fingerprint()`` is deterministic and comparable
-  across transports.
+pickled. Matching, collectives, ``split``, the fault path and the
+traffic ledger are the Comm's, so they behave the same on both wires;
+the per-rank message logs are merged into the caller's
+:class:`~repro.smpi.traffic.Traffic` in ascending rank order, so
+``Traffic.structure_fingerprint()`` is deterministic and comparable
+across transports.
 
 Fault tolerance (the process transport is a first-class fault
 domain):
 
-* :class:`~repro.smpi.faults.FaultPlan` injection works with the
-  same semantics the thread transport certifies — each forked rank
+* :class:`~repro.smpi.faults.FaultPlan` injection — each forked rank
   applies its inherited copy of the plan and the fire-once state is
   shipped back to the parent's plan object (in the final report, or a
   pre-death notice for hard crashes), so supervised retries replay
@@ -61,10 +52,11 @@ domain):
 
 Deliberate non-parity (documented, enforced):
 
-* no deterministic scheduler, no wait-for-graph deadlock detector —
-  requesting a scheduler with ``transport="process"`` raises
-  :class:`~repro.smpi.errors.TransportError`; a genuinely hung
-  run is caught by the heartbeat (if enabled) or the watchdog;
+* no scheduler and no deadlock oracle — requesting a scheduler with
+  ``transport="process"`` raises
+  :class:`~repro.smpi.errors.TransportError`; a timed-out wait names
+  its wait-for edge, and a genuinely hung run is caught by the
+  heartbeat (if enabled) or the watchdog;
 * per-rank telemetry recorders are process-local and discarded — the
   traffic ledger is the only cross-process observable.
 """
@@ -88,13 +80,14 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from repro.smpi.comm import SimComm
 from repro.smpi.errors import (
     ProcessRankDied,
     SimAbort,
     SimMPIError,
     TransportError,
 )
-from repro.smpi.traffic import Traffic, payload_nbytes
+from repro.smpi.traffic import Traffic
 from repro.telemetry.recorder import active_recorder
 
 #: Environment variable naming the default transport for
@@ -280,7 +273,13 @@ def _sweep_shm_prefix(prefix: str) -> int:
 
 
 def _encode_payload(obj: Any) -> Any:
-    """Replace large simple-dtype ndarrays with shared-memory refs."""
+    """Snapshot ``obj`` for the wire: large simple-dtype ndarrays go to
+    shared-memory refs, smaller ones are copied.
+
+    The copy is what gives small arrays value semantics: a queue
+    pickles its items later, on a feeder thread, so a sender writing
+    to its buffer right after ``send`` would otherwise race it.
+    """
     if isinstance(obj, np.ndarray):
         if (obj.nbytes >= shm_threshold() and obj.nbytes > 0
                 and not obj.dtype.hasobject):
@@ -297,7 +296,7 @@ def _encode_payload(obj: Any) -> Any:
                                int(arr.nbytes))
             finally:
                 shm.close()
-        return obj
+        return obj.copy()
     if isinstance(obj, tuple):
         return tuple(_encode_payload(o) for o in obj)
     if isinstance(obj, list):
@@ -349,364 +348,90 @@ def _release_payload(obj: Any) -> None:
 
 
 # ---------------------------------------------------------------------------
-# the process-backed communicator
+# the process wire
 # ---------------------------------------------------------------------------
 
-class _ProcRuntime:
-    """Per-process plumbing shared by every communicator view.
+class _ProcessWire:
+    """One rank process's wire: a queue per world rank plus shm payloads.
 
-    One instance per rank process: the world-indexed queue array, the
-    run-wide abort event, the rank's private traffic ledger and the
-    per-communicator buffers of received-but-unmatched messages (all
-    communicators multiplex over the single per-rank queue, so a recv
-    on one communicator may pull in messages for another).
+    Every communicator multiplexes over the rank's single queue, so a
+    wait on one communicator may pull in messages for another; they
+    land in per-communicator buffers that :class:`SimComm` matches
+    against. A blocking wait polls the queue in :data:`_WAIT_STEP`
+    slices, beating the liveness heartbeat and watching the run-wide
+    abort event between slices.
 
     The queue/event objects only need ``put``/``get``/``get_nowait``
-    and ``is_set``, so tests can instantiate the runtime over plain
-    ``queue.Queue``/``threading.Event`` to exercise the matching logic
-    in-process.
+    and ``is_set``, so tests can build the wire over plain
+    ``queue.Queue``/``threading.Event`` to exercise a :class:`SimComm`
+    on it in-process.
     """
 
-    def __init__(self, world_rank: int, world_size: int,
-                 queues: Sequence[Any], abort: Any, timeout: float,
-                 traffic: Traffic, faults: Any = None,
+    #: no scheduler: a satisfied wait or a probe never yields
+    preemptive = False
+
+    def __init__(self, world_rank: int, queues: Sequence[Any], abort: Any,
+                 timeout: float, traffic: Traffic, faults: Any = None,
                  beat: Callable[[], None] | None = None) -> None:
         self.world_rank = world_rank
-        self.world_size = world_size
         self.queues = list(queues)
         self.abort = abort
         self.timeout = timeout
         self.traffic = traffic
-        #: this rank's inherited copy of the run's FaultPlan (or None);
-        #: applied at step boundaries and on the send path, exactly as
-        #: the threaded SimComm does
+        #: this rank's inherited copy of the run's FaultPlan (or None)
         self.faults = faults
         #: liveness hook called at step boundaries and blocking-wait
         #: polls; throttled by the reporter, no-op when heartbeats are
         #: disabled
-        self.maybe_beat: Callable[[], None] = beat if beat is not None \
+        self.beat: Callable[[], None] = beat if beat is not None \
             else (lambda: None)
         #: comm_id -> [(kind, src_world, tag, payload)]
-        self.buffers: dict[str, list[tuple[str, int, int, Any]]] = \
-            defaultdict(list)
+        self._buffers: dict[str, list] = defaultdict(list)
 
-    def pump(self, block: float = 0.0) -> bool:
-        """Move at most one wire message into its communicator buffer."""
-        q = self.queues[self.world_rank]
-        try:
-            item = q.get(timeout=block) if block > 0 else q.get_nowait()
-        except _queue.Empty:
-            return False
-        comm_id, kind, src_world, tag, enc = item
-        self.buffers[comm_id].append(
-            (kind, src_world, tag, _decode_payload(enc)))
-        return True
+    def inbox(self, comm_id: str) -> list:
+        return self._buffers[comm_id]
 
     def post(self, dst_world: int, comm_id: str, kind: str, tag: int,
              obj: Any) -> None:
         self.queues[dst_world].put(
             (comm_id, kind, self.world_rank, tag, _encode_payload(obj)))
 
+    def _pump(self, block: float = 0.0) -> bool:
+        """Move at most one queued message into its communicator buffer."""
+        q = self.queues[self.world_rank]
+        try:
+            item = q.get(timeout=block) if block > 0 else q.get_nowait()
+        except _queue.Empty:
+            return False
+        comm_id, kind, src_world, tag, enc = item
+        self._buffers[comm_id].append(
+            (kind, src_world, tag, _decode_payload(enc)))
+        return True
 
-# sentinel source/tag shared with the threaded transport
-ANY_SOURCE = -1
-ANY_TAG = -1
+    def wait(self, ready: Callable[[], bool], edge: Any,
+             timeout: float) -> bool:
+        """Pump until ``ready()``; False after ``timeout`` idle seconds.
 
-
-class ProcessComm:
-    """One rank's view of a communicator over the process transport.
-
-    API-compatible with :class:`repro.smpi.comm.SimComm`: the whole
-    op2/coupler stack runs unchanged on either. Collectives are built
-    from point-to-point messages tagged with a per-communicator
-    sequence counter — every member calls collectives in the same
-    program order, so the counters advance in lockstep and the tags
-    match without negotiation. Sub-communicators from :meth:`split`
-    are deterministic ``comm_id`` namespaces over the same per-rank
-    queues; no new OS resources are created after fork.
-    """
-
-    def __init__(self, runtime: _ProcRuntime, comm_id: str,
-                 ranks_world: Sequence[int], rank: int) -> None:
-        self._rt = runtime
-        self.comm_id = comm_id
-        self._ranks_world = list(ranks_world)
-        self._world_to_local = {w: r for r, w in enumerate(self._ranks_world)}
-        self.rank = rank
-        self._seq = 0
-        self._split_gen = 0
-
-    # -- introspection -------------------------------------------------
-    @property
-    def size(self) -> int:
-        return len(self._ranks_world)
-
-    @property
-    def traffic(self) -> Traffic:
-        return self._rt.traffic
-
-    @property
-    def world_rank(self) -> int:
-        return self._ranks_world[self.rank]
-
-    def set_phase(self, phase: str) -> None:
-        self._rt.traffic.set_phase(self.world_rank, phase)
-
-    def notify_step(self, step: int) -> None:
-        """Apply step-boundary faults and beat the liveness heartbeat.
-
-        Same contract as :meth:`repro.smpi.comm.SimComm.notify_step`:
-        a :class:`~repro.smpi.faults.FaultPlan` crash scheduled for
-        ``(rank, step)`` fires here — a soft crash raises the typed
-        :class:`~repro.smpi.errors.RankFailure` inside this rank's
-        process, a hard crash SIGKILLs it after a pre-death notice.
+        ``edge`` goes unused: there is no wait-for graph across
+        processes, so the caller names it in its timeout error.
         """
-        self._rt.maybe_beat()
-        plan = self._rt.faults
-        if plan is not None:
-            plan.on_step(self.world_rank, step)
-
-    # -- point to point ------------------------------------------------
-    def send(self, obj: Any, dest: int, tag: int = 0) -> None:
-        if not 0 <= dest < self.size:
-            raise SimMPIError(f"send dest {dest} out of range [0, {self.size})")
-        dst_world = self._ranks_world[dest]
-        self._rt.traffic.record(self.world_rank, dst_world,
-                                payload_nbytes(obj))
-        plan = self._rt.faults
-        if plan is None:
-            self._rt.post(dst_world, self.comm_id, "p2p", tag, obj)
-            return
-        # message-fault path: identical order to SimComm._send_with_faults
-        # (record above, then corrupt -> hold -> deliver -> release held).
-        # Matching runs on the sending rank, so fire-once counts are
-        # per-process — validate_for_transport() already forced src to
-        # be pinned, making that indistinguishable from thread runs.
-        actions = plan.on_send(self.world_rank, dst_world, tag)
-        if actions.corrupt is not None:
-            from repro.smpi.comm import _copy_payload
-            # copy first: unlike the threaded transport there is no
-            # later copy-on-send, and the sender must not see its own
-            # buffer corrupted
-            obj = actions.corrupt(_copy_payload(obj))
-        if actions.hold:
-            rt, comm_id, me = self._rt, self.comm_id, self.world_rank
-            held = obj
-            plan.hold_message(
-                me, dst_world,
-                lambda: rt.post(dst_world, comm_id, "p2p", tag, held))
-            return
-        for _ in range(actions.deliver):
-            self._rt.post(dst_world, self.comm_id, "p2p", tag, obj)
-        plan.release_held(self.world_rank, dst_world)
-
-    def _recv_raw(self, kind: str, source_world: int, tag: int,
-                  timeout: float) -> tuple[int, int, Any]:
-        """Blocking matched receive; returns (src_world, tag, payload)."""
-        rt = self._rt
-        deadline = float("inf") if timeout is None else timeout
         waited = 0.0
         while True:
-            rt.maybe_beat()
-            buf = rt.buffers[self.comm_id]
-            for i, (k, s, t, _p) in enumerate(buf):
-                if k != kind:
-                    continue
-                if source_world not in (ANY_SOURCE, s):
-                    continue
-                if tag not in (ANY_TAG, t):
-                    continue
-                _k, s, t, p = buf.pop(i)
-                return s, t, p
-            if rt.abort.is_set():
+            self.beat()
+            if ready():
+                return True
+            if self.abort.is_set():
                 raise SimAbort("run aborted by another rank")
-            if waited >= deadline:
-                raise SimMPIError(
-                    f"recv(source={source_world}, tag={tag}) timed out after "
-                    f"{deadline:.1f}s — deadlock? (process transport has no "
-                    f"wait-for-graph detector)"
-                )
-            step = min(_WAIT_STEP, deadline - waited)
-            if not rt.pump(block=step):
+            if waited >= timeout:
+                return False
+            step = min(_WAIT_STEP, timeout - waited)
+            if not self._pump(block=step):
                 waited += step
 
-    def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
-             timeout: float | None = None) -> Any:
-        timeout = self._rt.timeout if timeout is None else timeout
-        src_world = (ANY_SOURCE if source == ANY_SOURCE
-                     else self._ranks_world[source])
-        _s, _t, payload = self._recv_raw("p2p", src_world, tag, timeout)
-        return payload
-
-    def recv_status(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
-                    timeout: float | None = None) -> tuple[Any, int, int]:
-        timeout = self._rt.timeout if timeout is None else timeout
-        src_world = (ANY_SOURCE if source == ANY_SOURCE
-                     else self._ranks_world[source])
-        s, t, payload = self._recv_raw("p2p", src_world, tag, timeout)
-        return payload, self._world_to_local[s], t
-
-    def isend(self, obj: Any, dest: int, tag: int = 0) -> "Request":
-        self.send(obj, dest, tag)
-        from repro.smpi.comm import Request
-        return Request(_done=True)
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> "Request":
-        from repro.smpi.comm import Request
-        return Request(_resolve=lambda: self.recv(source, tag))
-
-    def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
-        while self._rt.pump():
+    def poll(self) -> None:
+        """Drain the queue into the buffers without blocking."""
+        while self._pump():
             pass
-        src_world = (ANY_SOURCE if source == ANY_SOURCE
-                     else self._ranks_world[source])
-        for k, s, t, _p in self._rt.buffers[self.comm_id]:
-            if k != "p2p":
-                continue
-            if src_world in (ANY_SOURCE, s) and tag in (ANY_TAG, t):
-                return True
-        return False
-
-    def sendrecv(self, obj: Any, dest: int, source: int,
-                 sendtag: int = 0, recvtag: int = ANY_TAG) -> Any:
-        self.send(obj, dest, sendtag)
-        return self.recv(source, recvtag)
-
-    # -- collectives ---------------------------------------------------
-    # Built from p2p messages with kind="coll" so user tags can never
-    # collide. Collective wire traffic is NOT recorded in the ledger,
-    # matching the threaded transport's shared-slot collectives.
-
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
-    def _csend(self, obj: Any, dest: int, ctag: int) -> None:
-        self._rt.post(self._ranks_world[dest], self.comm_id, "coll",
-                      ctag, obj)
-
-    def _crecv(self, source: int, ctag: int) -> Any:
-        _s, _t, payload = self._recv_raw(
-            "coll", self._ranks_world[source], ctag, self._rt.timeout)
-        return payload
-
-    def _gather0(self, obj: Any, seq: int) -> list[Any] | None:
-        """Fan-in to rank 0, receives folded in ascending rank order."""
-        if self.rank == 0:
-            from repro.smpi.comm import _copy_payload
-            slots = [_copy_payload(obj)]
-            slots.extend(self._crecv(r, seq) for r in range(1, self.size))
-            return slots
-        self._csend(obj, 0, seq)
-        return None
-
-    def _bcast0(self, value: Any, seq: int) -> Any:
-        if self.rank == 0:
-            from repro.smpi.comm import _copy_payload
-            for r in range(1, self.size):
-                self._csend(value, r, seq)
-            return _copy_payload(value)
-        return self._crecv(0, seq)
-
-    def barrier(self) -> None:
-        seq = self._next_seq()
-        self._gather0(None, seq)
-        self._bcast0(None, seq)
-
-    def bcast(self, obj: Any, root: int = 0) -> Any:
-        seq = self._next_seq()
-        if self.rank == root:
-            from repro.smpi.comm import _copy_payload
-            for r in range(self.size):
-                if r != root:
-                    self._csend(obj, r, seq)
-            return _copy_payload(obj)
-        return self._crecv(root, seq)
-
-    def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
-        seq = self._next_seq()
-        if self.rank == root:
-            from repro.smpi.comm import _copy_payload
-            return [_copy_payload(obj) if r == root else self._crecv(r, seq)
-                    for r in range(self.size)]
-        self._csend(obj, root, seq)
-        return None
-
-    def allgather(self, obj: Any) -> list[Any]:
-        seq = self._next_seq()
-        slots = self._gather0(obj, seq)
-        return self._bcast0(slots, seq)
-
-    def scatter(self, objs: Sequence[Any] | None, root: int = 0) -> Any:
-        seq = self._next_seq()
-        if self.rank == root:
-            if objs is None or len(objs) != self.size:
-                raise SimMPIError(
-                    f"scatter root must supply {self.size} items, got "
-                    f"{None if objs is None else len(objs)}"
-                )
-            from repro.smpi.comm import _copy_payload
-            for r in range(self.size):
-                if r != root:
-                    self._csend(objs[r], r, seq)
-            return _copy_payload(objs[root])
-        return self._crecv(root, seq)
-
-    def reduce(self, obj: Any, op: Callable[[Any, Any], Any] | str = "sum",
-               root: int = 0) -> Any | None:
-        result = self.allreduce(obj, op)
-        return result if self.rank == root else None
-
-    def allreduce(self, obj: Any,
-                  op: Callable[[Any, Any], Any] | str = "sum") -> Any:
-        from repro.smpi.comm import _REDUCE_OPS
-        if isinstance(op, str) and op not in _REDUCE_OPS:
-            raise SimMPIError(
-                f"unknown reduce op {op!r}; use one of {sorted(_REDUCE_OPS)}")
-        fn = _REDUCE_OPS[op] if isinstance(op, str) else op
-        seq = self._next_seq()
-        slots = self._gather0(obj, seq)
-        if self.rank == 0:
-            # fold in ascending rank order — bitwise-identical to the
-            # threaded transport's slot fold
-            acc = slots[0]
-            for other in slots[1:]:
-                acc = fn(acc, other)
-            return self._bcast0(acc, seq)
-        return self._bcast0(None, seq)
-
-    def alltoall(self, objs: Sequence[Any]) -> list[Any]:
-        if len(objs) != self.size:
-            raise SimMPIError(
-                f"alltoall needs {self.size} items, got {len(objs)}")
-        from repro.smpi.comm import _copy_payload
-        seq = self._next_seq()
-        for r in range(self.size):
-            if r != self.rank:
-                self._csend(objs[r], r, seq)
-        return [_copy_payload(objs[r]) if r == self.rank
-                else self._crecv(r, seq) for r in range(self.size)]
-
-    # -- communicator management ---------------------------------------
-    def split(self, color: int, key: int | None = None) -> "ProcessComm | None":
-        """Partition by ``color``; deterministic comm ids on all ranks.
-
-        Every member computes the same grouping from the same
-        allgathered ``(color, key, rank)`` triples, so the derived
-        ``comm_id`` — ``"{parent}/{gen}.{color}"`` — agrees everywhere
-        without a coordinator.
-        """
-        key = self.rank if key is None else key
-        pairs = self.allgather((color, key, self.rank))
-        self._split_gen += 1
-        if color < 0:
-            return None
-        members = sorted((k, r) for c, k, r in pairs if c == color)
-        ranks = [r for _k, r in members]
-        sub_id = f"{self.comm_id}/{self._split_gen}.{color}"
-        return ProcessComm(self._rt, sub_id,
-                           [self._ranks_world[r] for r in ranks],
-                           ranks.index(self.rank))
 
 
 # ---------------------------------------------------------------------------
@@ -791,9 +516,9 @@ def _child_main(rank: int, nranks: int, fn: Callable[..., Any], args: tuple,
             os._exit(1)  # pragma: no cover - unreachable backstop
 
         fault_plan.bind_hard_crash(_die_hard)
-    runtime = _ProcRuntime(rank, nranks, queues, abort, timeout, traffic,
-                           faults=fault_plan, beat=reporter.maybe_beat)
-    comm = ProcessComm(runtime, "world", list(range(nranks)), rank)
+    wire = _ProcessWire(rank, queues, abort, timeout, traffic,
+                        faults=fault_plan, beat=reporter.maybe_beat)
+    comm = SimComm(wire, range(nranks), rank)
     reporter.maybe_beat()  # mark liveness before any compute
     status: str
     payload: Any

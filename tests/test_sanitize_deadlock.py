@@ -144,15 +144,19 @@ class TestFinishedPeers:
         assert "(finished)" in str(err)
         assert [e.rank for e in err.cycle] == [0]
 
-    def test_barrier_missing_finished_rank(self):
+    @pytest.mark.parametrize("op", ["barrier", "allreduce", "allgather"])
+    def test_barrier_missing_finished_rank(self, op):
+        """A collective waits through point-to-point matching, yet the
+        wait is reported under the collective's name."""
+
         def fn(comm):
             if comm.rank == 0:
-                return  # skips the barrier and exits
-            comm.barrier()
+                return  # skips the collective and exits
+            getattr(comm, op)(*(() if op == "barrier" else (1.0,)))
 
         err = expect_deadlock(2, fn, budget=1.0)
-        assert all(e.op == "barrier" for e in err.cycle)
-        assert "(finished)" in str(err)
+        assert [(e.rank, e.op, e.peers) for e in err.cycle] == [(1, op, (0,))]
+        assert f"rank 1: {op} <- waits on rank 0 (finished)" in str(err)
 
 
 class TestNoSpuriousDeadlock:

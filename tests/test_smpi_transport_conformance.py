@@ -9,10 +9,11 @@ identical per-rank return values and identical
 :meth:`Traffic.structure_fingerprint` (the sender-ordered canonical
 message log).
 
-The in-process battery at the bottom drives :class:`ProcessComm`
-directly over plain ``queue.Queue``/``threading.Event`` stand-ins —
-the duck-typing :class:`_ProcRuntime` documents — so the matching,
-timeout and payload-encoding logic is covered without forking.
+The in-process battery at the bottom drives :class:`SimComm` on the
+process wire built over plain ``queue.Queue``/``threading.Event``
+stand-ins — the duck-typing :class:`_ProcessWire` documents — so the
+matching, timeout and payload-encoding logic is covered without
+forking.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from repro.smpi import (
     ANY_SOURCE,
     ANY_TAG,
     RankFailure,
+    SimComm,
     SimMPIError,
     Traffic,
     TransportError,
@@ -37,8 +39,7 @@ from repro.smpi.traffic import payload_nbytes
 from repro.smpi.faults import FaultPlan
 from repro.smpi.schedule import DeterministicScheduler
 from repro.smpi.transport import (
-    ProcessComm,
-    _ProcRuntime,
+    _ProcessWire,
     _decode_payload,
     _encode_payload,
     _release_payload,
@@ -221,6 +222,18 @@ def _mixed_workload(comm):
     return (vec.tolist(), total, sub_total, got)
 
 
+def _send_then_overwrite(comm):
+    """Rank 0 reuses its send buffer right after each send."""
+    if comm.rank == 0:
+        buf = np.arange(4.0)
+        comm.send(buf, 1, tag=5)
+        buf[:] = -1.0
+        comm.send("marker", 1, tag=6)
+        return None
+    marker = comm.recv(source=0, tag=6)
+    return marker, comm.recv(source=0, tag=5).tolist()
+
+
 # --------------------------------------------------------------------------
 # the battery: every entry asserted identical across transports
 # --------------------------------------------------------------------------
@@ -334,6 +347,22 @@ class TestTrafficAccounting:
         assert len(traffic.structure_fingerprint()) == 64
 
 
+class TestValueSemantics:
+    def test_send_buffer_reuse_does_not_reach_receiver(self):
+        results = assert_conformant(_send_then_overwrite, 2)
+        assert results[1] == ("marker", [0.0, 1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("transport", ["thread", "process"])
+    def test_delayed_message_keeps_send_time_value(self, transport):
+        """A held message is snapshotted at send: the sender's later
+        writes must not leak into it before its release."""
+        plan = FaultPlan().delay(src=0, dst=1, tag=5)
+        results = run_ranks(2, _send_then_overwrite, timeout=TIMEOUT,
+                            transport=transport, fault_plan=plan)
+        assert results[1] == ("marker", [0.0, 1.0, 2.0, 3.0])
+        assert [r.kind for r in plan.fired] == ["delay"]
+
+
 class TestFailurePropagation:
     @pytest.mark.parametrize("transport", ["thread", "process"])
     def test_rank_failure_carries_rank_and_step(self, transport):
@@ -387,12 +416,12 @@ class TestTransportSelection:
 
 
 # --------------------------------------------------------------------------
-# in-process ProcessComm battery (plain queues + threads; no fork)
+# in-process battery: SimComm on the process wire (plain queues + threads; no fork)
 # --------------------------------------------------------------------------
 
 class _LocalWorld:
-    """ProcessComm wired over queue.Queue/threading.Event, ranks as
-    threads — covers the transport's matching/encoding logic directly."""
+    """SimComm on the process wire over queue.Queue/threading.Event,
+    ranks as threads — covers the wire's matching/encoding directly."""
 
     def __init__(self, nranks, timeout=5.0):
         self.nranks = nranks
@@ -402,9 +431,9 @@ class _LocalWorld:
         self.timeout = timeout
 
     def comm(self, rank):
-        rt = _ProcRuntime(rank, self.nranks, self.queues, self.abort,
-                          self.timeout, self.traffics[rank])
-        return ProcessComm(rt, "world", list(range(self.nranks)), rank)
+        wire = _ProcessWire(rank, self.queues, self.abort, self.timeout,
+                            self.traffics[rank])
+        return SimComm(wire, range(self.nranks), rank)
 
     def run(self, fn, *args):
         results = [None] * self.nranks
@@ -430,6 +459,8 @@ class _LocalWorld:
 
 
 class TestProcessCommInProcess:
+    """SimComm over the process wire, driven in-process."""
+
     def test_ring_over_plain_queues(self):
         world = _LocalWorld(3)
         results = world.run(_ring)
@@ -474,9 +505,21 @@ class TestProcessCommInProcess:
             world.comm(0).allreduce(1.0, op="median")
 
     def test_recv_timeout_mentions_deadlock(self):
+        """The timeout names its wait-for edge: op, peer and tag."""
         world = _LocalWorld(2, timeout=0.2)
-        with pytest.raises(SimMPIError, match="timed out"):
-            world.comm(0).recv(source=1, tag=0, timeout=0.2)
+        with pytest.raises(SimMPIError, match="timed out") as excinfo:
+            world.comm(0).recv(source=1, tag=4, timeout=0.2)
+        message = str(excinfo.value)
+        assert "deadlock?" in message
+        assert "recv(source=1, tag=4)" in message
+        assert "waiting on rank 1" in message
+
+    def test_collective_timeout_names_the_collective(self):
+        world = _LocalWorld(2, timeout=0.2)
+        with pytest.raises(SimMPIError, match="timed out") as excinfo:
+            world.comm(1).allreduce(1.0)  # rank 0 never joins
+        assert "allreduce timed out" in str(excinfo.value)
+        assert "waiting on rank 0" in str(excinfo.value)
 
     def test_recv_unblocks_on_abort(self):
         from repro.smpi.errors import SimAbort
